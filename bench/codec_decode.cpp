@@ -1,35 +1,30 @@
-// Decode-path microbench for the vectorized codec engine (simd.hpp).
+// Decode-path microbench for the batch decode kernels (simd.hpp).
 //
 // Lays out one sealed-block value column (XOR streams restarted every
 // 16 rows, restart offsets recorded — exactly Block::seal's layout) and
 // one delta-of-delta timestamp stream over sensor-shaped data, then
-// times every decode implementation over the identical bytes:
+// times both decode implementations over the identical bytes:
 //
-//   reference  : the row-at-a-time codec.hpp decoders (XorDecoder /
-//                DeltaOfDeltaDecoder over BitReader) — the pre-SIMD
-//                engine's hot loop, kept as the baseline
-//   scalar/sse42/avx2 : each compiled simd::Kernels variant
-//   dispatched : simd::active(), whatever startup dispatch picked
+//   reference : the row-at-a-time codec.hpp decoders (XorDecoder /
+//               DeltaOfDeltaDecoder over BitReader), kept as the
+//               baseline and the oracle
+//   kernels   : simd::decode_xor_column / simd::decode_dod
 //
 // Every timed decode is also checked bit-identical to the reference
-// output — a variant that got fast by being wrong fails the run.
+// output — a kernel that got fast by being wrong fails the run.
 //
-// Gate: the dispatched XOR column decode must clear 2x the reference
-// throughput.  When no SIMD variant is compiled in or supported (plain
-// scalar dispatch), the gate reports `skipped_no_simd` and the bench
-// exits 0 without claiming the speedup — a scalar-only host cannot
-// vacuously pass a vectorization gate.
+// Gate: the kernel XOR column decode must clear 2x the reference
+// throughput.
 //
-// Results land in BENCH_codec.json (rows/s and MB/s per variant,
-// speedups, gate verdict); regenerate via `./build/bench/codec_decode`
-// or `ctest --test-dir build -C Bench -L bench`.  `--smoke` runs a
-// small workload, checks identity, and skips the JSON + perf gate —
+// Results land in BENCH_codec.json (rows/s and MB/s, speedups, gate
+// verdict, host); regenerate via `./build/bench/codec_decode` or
+// `ctest --test-dir build -C Bench -L bench`.  `--smoke` runs a small
+// workload, checks identity, and skips the JSON + perf gate —
 // ci/check.sh drives that after tier-1 on every configuration.
 
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <ctime>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -37,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "harness.hpp"
 #include "tsdb/codec.hpp"
 #include "tsdb/simd.hpp"
 
@@ -107,30 +103,6 @@ DodStream make_dod(std::size_t rows, std::uint64_t seed) {
   return s;
 }
 
-// Best-of-N CPU seconds for `fn` (which must decode `rows` rows).
-// CPU time, not wall time: decode microbenches run on shared build
-// hosts where other tenants steal the core, and a wall clock would
-// charge their timeslices to whichever decoder was unlucky enough to
-// be running.  CLOCK_PROCESS_CPUTIME_ID counts only this process's
-// execution, so the reference/variant ratio the gate checks survives
-// background load.
-double cpu_seconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-template <typename Fn>
-double best_seconds(int reps, Fn&& fn) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const double t0 = cpu_seconds();
-    fn();
-    best = std::min(best, cpu_seconds() - t0);
-  }
-  return best;
-}
-
 bool bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
   return a.size() == b.size() &&
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
@@ -161,9 +133,9 @@ int main(int argc, char** argv) {
   const DodStream dod = make_dod(rows, 0xd0d);
   const std::size_t chunks = col.offsets.size();
 
-  // --- Reference: the row-at-a-time pre-SIMD decode loop. --------------
+  // --- Reference: the row-at-a-time decode loop. --------------
   std::vector<double> ref_values(rows);
-  const double ref_xor_s = best_seconds(reps, [&] {
+  const double ref_xor_s = envmon::bench::best_cpu_seconds(reps, [&] {
     tsdb::BitReader r(col.stream);
     for (std::size_t c = 0; c < chunks; ++c) {
       r.seek(col.offsets[c]);
@@ -178,7 +150,7 @@ int main(int argc, char** argv) {
   }
 
   std::vector<std::int64_t> ref_ts(rows);
-  const double ref_dod_s = best_seconds(reps, [&] {
+  const double ref_dod_s = envmon::bench::best_cpu_seconds(reps, [&] {
     tsdb::BitReader r(dod.stream);
     tsdb::DeltaOfDeltaDecoder dec;
     for (std::size_t i = 0; i < rows; ++i) ref_ts[i] = dec.next(r);
@@ -194,56 +166,31 @@ int main(int argc, char** argv) {
               "reference", ref_xor.rows_per_s / 1e6, ref_xor.mb_per_s,
               ref_dod.rows_per_s / 1e6, ref_dod.mb_per_s);
 
-  // --- Every compiled variant plus the startup dispatch. ---------------
-  struct Row {
-    std::string name;
-    Throughput xor_tp;
-    Throughput dod_tp;
-  };
-  std::vector<Row> table;
-  bool identical = true;
+  // --- The kernels. ---------------------------------------------------
   std::vector<double> out_values(rows);
+  const double xor_s = envmon::bench::best_cpu_seconds(reps, [&] {
+    simd::decode_xor_column(col.stream.data(), col.stream.size(), col.offsets.data(), chunks,
+                            rows, out_values.data());
+  });
+  bool identical = bits_equal(out_values, col.values);
+  if (!identical) std::printf("FAIL: kernel XOR decode differs from the reference bits\n");
   std::vector<std::int64_t> out_ts(rows);
-
-  const auto measure = [&](const char* name, const simd::Kernels& k) {
-    const double xor_s = best_seconds(reps, [&] {
-      k.decode_xor_column(col.stream.data(), col.stream.size(), col.offsets.data(), chunks,
-                          rows, out_values.data());
-    });
-    if (!bits_equal(out_values, col.values)) {
-      std::printf("FAIL: %s XOR decode differs from the reference bits\n", name);
-      identical = false;
-    }
-    const double dod_s = best_seconds(reps, [&] {
-      k.decode_dod(dod.stream.data(), dod.stream.size(), rows, out_ts.data());
-    });
-    if (out_ts != dod.values) {
-      std::printf("FAIL: %s delta-of-delta decode differs from the reference\n", name);
-      identical = false;
-    }
-    Row row{name, throughput(rows, col.stream.size(), xor_s),
-            throughput(rows, dod.stream.size(), dod_s)};
-    std::printf("%-12s xor %8.1f Mrows/s %8.1f MB/s   dod %8.1f Mrows/s %8.1f MB/s\n",
-                name, row.xor_tp.rows_per_s / 1e6, row.xor_tp.mb_per_s,
-                row.dod_tp.rows_per_s / 1e6, row.dod_tp.mb_per_s);
-    table.push_back(row);
-    return row;
-  };
-
-  bool any_simd = false;
-  for (std::size_t i = 0; i < simd::kVariantCount; ++i) {
-    const auto v = static_cast<simd::Variant>(i);
-    if (!simd::variant_available(v)) continue;
-    if (v != simd::Variant::kScalar) any_simd = true;
-    measure(simd::variant_name(v), simd::kernels(v));
+  const double dod_s = envmon::bench::best_cpu_seconds(reps, [&] {
+    simd::decode_dod(dod.stream.data(), dod.stream.size(), rows, out_ts.data());
+  });
+  if (out_ts != dod.values) {
+    std::printf("FAIL: kernel delta-of-delta decode differs from the reference\n");
+    identical = false;
   }
-  const Row dispatched = measure("dispatched", simd::active());
-  const char* variant = simd::variant_name(simd::dispatched_variant());
+  const Throughput xor_tp = throughput(rows, col.stream.size(), xor_s);
+  const Throughput dod_tp = throughput(rows, dod.stream.size(), dod_s);
+  std::printf("%-12s xor %8.1f Mrows/s %8.1f MB/s   dod %8.1f Mrows/s %8.1f MB/s\n", "kernels",
+              xor_tp.rows_per_s / 1e6, xor_tp.mb_per_s, dod_tp.rows_per_s / 1e6,
+              dod_tp.mb_per_s);
 
-  const double xor_speedup = dispatched.xor_tp.rows_per_s / ref_xor.rows_per_s;
-  const double dod_speedup = dispatched.dod_tp.rows_per_s / ref_dod.rows_per_s;
-  std::printf("\ndispatched variant      : %s\n", variant);
-  std::printf("xor speedup vs reference: %.2fx\n", xor_speedup);
+  const double xor_speedup = xor_tp.rows_per_s / ref_xor.rows_per_s;
+  const double dod_speedup = dod_tp.rows_per_s / ref_dod.rows_per_s;
+  std::printf("\nxor speedup vs reference: %.2fx\n", xor_speedup);
   std::printf("dod speedup vs reference: %.2fx\n", dod_speedup);
   std::printf("byte-identical decodes  : %s\n", identical ? "PASS" : "FAIL");
 
@@ -252,18 +199,8 @@ int main(int argc, char** argv) {
     return identical ? 0 : 1;
   }
 
-  const char* gate = "pass";
-  bool gate_ok = true;
-  if (!any_simd) {
-    gate = "skipped_no_simd";
-    std::printf(">= 2x decode speedup    : SKIP (no SIMD variant on this host)\n");
-  } else if (xor_speedup >= 2.0) {
-    std::printf(">= 2x decode speedup    : PASS (%.2fx)\n", xor_speedup);
-  } else {
-    gate = "fail";
-    gate_ok = false;
-    std::printf(">= 2x decode speedup    : FAIL (%.2fx)\n", xor_speedup);
-  }
+  const bool gate_ok = xor_speedup >= 2.0;
+  std::printf(">= 2x decode speedup    : %s (%.2fx)\n", gate_ok ? "PASS" : "FAIL", xor_speedup);
 
   std::FILE* out = std::fopen("BENCH_codec.json", "w");
   if (out != nullptr) {
@@ -272,28 +209,25 @@ int main(int argc, char** argv) {
                  "  \"rows\": %zu,\n"
                  "  \"value_stream_bytes\": %zu,\n"
                  "  \"ts_stream_bytes\": %zu,\n"
-                 "  \"dispatched_variant\": \"%s\",\n"
+                 "  \"host_cpu\": \"%s\",\n"
+                 "  \"host_cores\": %u,\n"
                  "  \"xor_reference_mrows_per_s\": %.1f,\n"
                  "  \"xor_reference_mb_per_s\": %.1f,\n"
                  "  \"dod_reference_mrows_per_s\": %.1f,\n"
-                 "  \"dod_reference_mb_per_s\": %.1f,\n",
-                 rows, col.stream.size(), dod.stream.size(), variant,
-                 ref_xor.rows_per_s / 1e6, ref_xor.mb_per_s, ref_dod.rows_per_s / 1e6,
-                 ref_dod.mb_per_s);
-    for (const Row& r : table) {
-      std::fprintf(out,
-                   "  \"xor_%s_mrows_per_s\": %.1f,\n"
-                   "  \"xor_%s_mb_per_s\": %.1f,\n"
-                   "  \"dod_%s_mrows_per_s\": %.1f,\n",
-                   r.name.c_str(), r.xor_tp.rows_per_s / 1e6, r.name.c_str(), r.xor_tp.mb_per_s,
-                   r.name.c_str(), r.dod_tp.rows_per_s / 1e6);
-    }
-    std::fprintf(out,
+                 "  \"dod_reference_mb_per_s\": %.1f,\n"
+                 "  \"xor_kernel_mrows_per_s\": %.1f,\n"
+                 "  \"xor_kernel_mb_per_s\": %.1f,\n"
+                 "  \"dod_kernel_mrows_per_s\": %.1f,\n"
+                 "  \"dod_kernel_mb_per_s\": %.1f,\n"
                  "  \"xor_speedup_vs_reference\": %.2f,\n"
                  "  \"dod_speedup_vs_reference\": %.2f,\n"
                  "  \"speedup_gate\": \"%s\"\n"
                  "}\n",
-                 xor_speedup, dod_speedup, gate);
+                 rows, col.stream.size(), dod.stream.size(), envmon::bench::host_cpu().c_str(),
+                 envmon::bench::host_cores(), ref_xor.rows_per_s / 1e6, ref_xor.mb_per_s,
+                 ref_dod.rows_per_s / 1e6, ref_dod.mb_per_s, xor_tp.rows_per_s / 1e6,
+                 xor_tp.mb_per_s, dod_tp.rows_per_s / 1e6, dod_tp.mb_per_s, xor_speedup,
+                 dod_speedup, gate_ok ? "pass" : "fail");
     std::fclose(out);
     std::printf("\nwrote BENCH_codec.json\n");
   }

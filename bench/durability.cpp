@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv1a.hpp"
 #include "tsdb/database.hpp"
 
 namespace {
@@ -67,23 +68,12 @@ std::vector<tsdb::Record> stream_rows(std::uint64_t first, std::uint64_t count) 
 
 // FNV-1a over every field of every row — the byte-identical gate.
 std::uint64_t digest(const std::vector<tsdb::Record>& rows) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
+  envmon::common::Fnv1a h;
   for (const tsdb::Record& r : rows) {
-    mix(static_cast<std::uint64_t>(r.timestamp.ns()));
-    mix(static_cast<std::uint64_t>(r.location.rack) << 32 |
-        static_cast<std::uint32_t>(r.location.card));
-    for (const char c : r.metric) mix(static_cast<std::uint8_t>(c));
-    std::uint64_t bits;
-    std::memcpy(&bits, &r.value, sizeof(bits));
-    mix(bits);
+    h.mix_i64(r.timestamp.ns()).mix_i64(r.location.rack).mix_i64(r.location.card);
+    h.mix(r.metric).mix_f64(r.value);
   }
-  return h;
+  return h.value();
 }
 
 tsdb::DatabaseOptions base_options() {

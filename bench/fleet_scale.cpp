@@ -37,6 +37,7 @@
 #include <string>
 #include <thread>
 
+#include "common/fnv1a.hpp"
 #include "fleet/api.hpp"
 #include "moneq/output.hpp"
 #include "obs/export.hpp"
@@ -49,15 +50,6 @@ namespace fleet = envmon::fleet;
 namespace moneq = envmon::moneq;
 using envmon::sim::Duration;
 
-// FNV-1a, so output digests are stable and printable.
-std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 // Streams node files into a digest instead of storing them: at 100k
 // nodes the rendered files would hold hundreds of MB that the bench
 // only ever hashes.  The runner writes files in rank order, so the
@@ -65,15 +57,15 @@ std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
 class DigestOutput final : public moneq::OutputTarget {
  public:
   envmon::Status write(const std::string& filename, const std::string& content) override {
-    digest_ = fnv1a(fnv1a(digest_, filename), content);
+    digest_.mix(filename).mix(content);
     ++files_;
     return envmon::Status::ok();
   }
-  [[nodiscard]] std::uint64_t digest() const { return digest_; }
+  [[nodiscard]] std::uint64_t digest() const { return digest_.value(); }
   [[nodiscard]] std::size_t files() const { return files_; }
 
  private:
-  std::uint64_t digest_ = 0xcbf29ce484222325ull;
+  envmon::common::Fnv1a digest_;
   std::size_t files_ = 0;
 };
 
@@ -141,11 +133,11 @@ RunResult run(const BenchShape& shape, int threads) {
 
   RunResult r;
   r.files_digest = output.digest();
-  r.db_digest = fnv1a(0xcbf29ce484222325ull, envmon::tsdb::export_csv(runner.database()));
+  const auto fnv1a = [](const std::string& s) { return envmon::common::Fnv1a().mix(s).value(); };
+  r.db_digest = fnv1a(envmon::tsdb::export_csv(runner.database()));
   // The fleet-wide rolled-up snapshot rides the determinism gate too:
   // its JSON rendering must be byte-identical at any worker count.
-  r.rollup_digest = fnv1a(0xcbf29ce484222325ull,
-                          envmon::obs::export_json(runner.telemetry()->fleet_rollup()));
+  r.rollup_digest = fnv1a(envmon::obs::export_json(runner.telemetry()->fleet_rollup()));
   const auto report = runner.report().value();
   r.wall_seconds = report.wall_seconds;
   r.node_seconds_per_second = report.node_seconds_per_second;

@@ -8,47 +8,24 @@
 // the digest covers both contents and application order.
 
 #include <cstdint>
-#include <cstring>
-#include <string_view>
 
+#include "common/fnv1a.hpp"
 #include "tsdb/database.hpp"
 
 namespace envmon::daemon {
 
-class Fnv1a {
- public:
-  void mix(const void* data, std::size_t len) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < len; ++i) {
-      hash_ ^= p[i];
-      hash_ *= 0x100000001B3ull;
-    }
-  }
-  void mix_u64(std::uint64_t v) { mix(&v, sizeof v); }
-  void mix_str(std::string_view s) {
-    mix_u64(s.size());
-    mix(s.data(), s.size());
-  }
-  [[nodiscard]] std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xCBF29CE484222325ull;
-};
-
 inline std::uint64_t database_digest(const tsdb::EnvDatabase& db) {
-  Fnv1a h;
+  common::Fnv1a h;
   const auto rows = db.query({});
   h.mix_u64(rows.size());
   for (const auto& rec : rows) {
-    h.mix_u64(static_cast<std::uint64_t>(rec.timestamp.ns()));
-    h.mix_u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(rec.location.rack)));
-    h.mix_u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(rec.location.midplane)));
-    h.mix_u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(rec.location.board)));
-    h.mix_u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(rec.location.card)));
-    h.mix_str(rec.metric);
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &rec.value, sizeof bits);
-    h.mix_u64(bits);
+    h.mix_i64(rec.timestamp.ns());
+    h.mix_i64(rec.location.rack);
+    h.mix_i64(rec.location.midplane);
+    h.mix_i64(rec.location.board);
+    h.mix_i64(rec.location.card);
+    h.mix_u64(rec.metric.size()).mix(rec.metric);
+    h.mix_f64(rec.value);
   }
   return h.value();
 }

@@ -9,6 +9,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/posix_io.hpp"
 #include "daemon/session.hpp"
 #include "tsdb/checksum.hpp"
 #include "tsdb/wire.hpp"
@@ -16,21 +17,9 @@
 namespace envmon::daemon {
 
 namespace wire = tsdb::wire;
+using common::write_all;
 
 namespace {
-
-bool write_all(int fd, std::span<const std::uint8_t> bytes) {
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
-}
 
 std::uint32_t get_u32(const std::vector<std::uint8_t>& data, std::size_t off) {
   return static_cast<std::uint32_t>(data[off]) |
@@ -62,9 +51,9 @@ Status FrameLogWriter::open(const std::string& path, const FrameLogHeader& heade
   w.u32(header.max_batch_rows);
   w.u64(header.credit_window_rows);
   if (!write_all(fd, w.take())) {
-    const std::string err = std::strerror(errno);
+    const Status err = common::io_error("frame log header write");
     ::close(fd);
-    return Status::internal("frame log header write: " + err);
+    return err;
   }
   fd_ = fd;
   entries_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/fnv1a.hpp"
 #include "obs/export.hpp"
 
 namespace envmon::fault {
@@ -10,14 +11,7 @@ namespace {
 
 // Stable 64-bit FNV-1a so a site's RNG stream depends only on (seed,
 // name), never on schedule or intercept order.
-std::uint64_t hash_name(std::string_view name) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : name) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
+std::uint64_t hash_name(std::string_view name) { return common::Fnv1a().mix(name).value(); }
 
 }  // namespace
 

@@ -123,12 +123,6 @@ EnvDatabase::EnvDatabase(DatabaseOptions options) : options_(options) {
     decode_rows_metric_ = &registry.counter(
         "envmon_tsdb_decode_rows_total",
         "Value rows decoded from sealed blocks by query/downsample/aggregate");
-    // Info gauge: constant 1, the label names the decode variant the
-    // CPU probe (or ENVMON_SIMD) selected at startup.
-    auto& dispatch_gauge = registry.gauge(
-        "envmon_tsdb_simd_dispatch", "Active vectorized decode variant (info gauge)",
-        std::string("variant=\"") + simd::variant_name(simd::dispatched_variant()) + "\"");
-    dispatch_gauge.set(1.0);
   }
 }
 
@@ -530,7 +524,6 @@ std::vector<EnvDatabase::Bucket> EnvDatabase::downsample(const QueryFilter& filt
   std::uint64_t pushdown_rows = 0;
   std::uint64_t pushdown_chunks = 0;
   std::vector<std::int64_t> ts_scratch;
-  const auto& kernels = simd::active();
 
   // Folds value rows [a, e) into the bucket accumulators.  `ts` has one
   // entry per row; `chunk_at` returns the decoded rows of one subchunk
@@ -557,7 +550,7 @@ std::vector<EnvDatabase::Bucket> EnvDatabase::downsample(const QueryFilter& filt
             pushdown_rows += ce - cb;
             ++pushdown_chunks;
           } else {
-            slot.sum += kernels.sum_subchunk(chunk_at(c), ce - cb);
+            slot.sum += simd::sum_subchunk(chunk_at(c), ce - cb);
             if (counts_decoded) decoded += ce - cb;
           }
           slot.count += ce - cb;
@@ -679,7 +672,6 @@ EnvDatabase::Aggregate EnvDatabase::aggregate(const QueryFilter& filter) const {
   std::uint64_t pushdown_rows = 0;
   std::uint64_t pushdown_chunks = 0;
   std::vector<std::int64_t> ts_scratch;
-  const auto& kernels = simd::active();
   const auto apply_part = [&](const simd::SubchunkFold& part, std::uint64_t nrows) {
     agg.count += nrows;
     agg.sum += part.sum;
@@ -702,7 +694,7 @@ EnvDatabase::Aggregate EnvDatabase::aggregate(const QueryFilter& filter) const {
       const std::size_t hi = std::min(ce, e);
       if (lo >= hi) continue;
       simd::SubchunkFold fold;
-      kernels.fold_subchunk(chunk_at(c) + (lo - cb), hi - lo, fold);
+      simd::fold_subchunk(chunk_at(c) + (lo - cb), hi - lo, fold);
       combine.add(fold);
     }
     apply_part(combine.finish(), e - a);
@@ -1096,12 +1088,12 @@ void EnvDatabase::after_durable_write() {
     (void)sync_durable();
   }
   d.barrier = false;
-  // Rotation triggers: WAL growth, or retention having killed a whole
-  // segment — the dead file is only unlinked behind a durable
-  // checkpoint that no longer references it (write_checkpoint_wal runs
-  // the GC), so the rotation is forced rather than waiting for the
-  // byte threshold.
-  if (d.wal.bytes_written() >= options_.durability.wal_rotate_bytes ||
+  // Rotation triggers: WAL growth since its leading checkpoint, or
+  // retention having killed a whole segment — the dead file is only
+  // unlinked behind a durable checkpoint that no longer references it
+  // (write_checkpoint_wal runs the GC), so the rotation is forced
+  // rather than waiting for the byte threshold.
+  if (d.wal.bytes_written() - d.wal_checkpoint_bytes >= options_.durability.wal_rotate_bytes ||
       d.store.has_dead_segments()) {
     (void)write_checkpoint_wal();
   }
@@ -1282,6 +1274,7 @@ Status EnvDatabase::write_checkpoint_wal() {
   if (ec) return Status::internal("stat checkpoint wal");
   s = d.wal.open_for_append(path, size);
   if (!s.is_ok()) return s;
+  d.wal_checkpoint_bytes = size;
   d.metrics_logged = metrics_.size();
   if (wal_bytes_metric_ != nullptr) wal_bytes_metric_->inc(size);
   // The durable checkpoint above references live extents only, so any
@@ -1322,7 +1315,8 @@ Status EnvDatabase::recover(RecoveryInfo& info) {
     if (!decode_checkpoint(first->payload)) continue;
     info.recovered = true;
     info.wal_frames_replayed = 1;
-    std::uint64_t clean = reader.valid_bytes();
+    const std::uint64_t checkpoint_bytes = reader.valid_bytes();
+    std::uint64_t clean = checkpoint_bytes;
     bool bad_frame = false;
     while (auto frame = reader.next()) {
       if (!apply_wal_frame(frame->type, frame->payload)) {
@@ -1340,6 +1334,7 @@ Status EnvDatabase::recover(RecoveryInfo& info) {
     }
     Status s = d.wal.open_for_append(path, clean);
     if (!s.is_ok()) return s;
+    d.wal_checkpoint_bytes = checkpoint_bytes;
     d.wal_number = number;
     d.metrics_logged = metrics_.size();
     for (const std::uint32_t other : numbers) {

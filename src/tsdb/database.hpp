@@ -119,7 +119,8 @@ struct DatabaseOptions {
     // under every policy.
     FsyncPolicy fsync_policy = FsyncPolicy::kOnSeal;
     // The WAL is rotated (checkpoint into a fresh file, older files
-    // deleted) once it grows past this.
+    // deleted) once the frames appended after its leading checkpoint
+    // pass this; the checkpoint's own size does not count.
     std::size_t wal_rotate_bytes = 16u << 20;
     // Active segment files seal and rotate past this (segment.hpp).
     std::size_t segment_rotate_bytes = 8u << 20;
@@ -331,6 +332,10 @@ class EnvDatabase {
     BlockStore store;
     WalWriter wal;
     std::uint32_t wal_number = 0;  // current wal-NNNNNN.log
+    // Size of the current WAL just past its leading checkpoint.  Rotation
+    // compares the bytes appended since then against wal_rotate_bytes:
+    // a checkpoint larger than the threshold must not re-trigger itself.
+    std::uint64_t wal_checkpoint_bytes = 0;
     // Accepted inserts buffered for the next kInsertBatch frame (one
     // frame per insert()/insert_batch() call, or earlier if a seal or
     // vacuum record needs the rows on disk first).

@@ -6,14 +6,17 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 
+#include "common/posix_io.hpp"
 #include "tsdb/wire.hpp"
 
 namespace envmon::tsdb {
+
+using common::io_error;
+using common::pread_exact;
+using common::write_all;
 
 namespace {
 
@@ -28,35 +31,6 @@ constexpr std::uint64_t kFooterEntryBytes = 32;
 constexpr std::uint64_t kTrailerBytes = 24;
 // Sanity ceiling on one extent; a 4096-row block is a few KB even raw.
 constexpr std::uint32_t kMaxExtentBytes = 64u << 20;
-
-Status io_error(const char* what) {
-  return Status::internal(std::string(what) + ": " + std::strerror(errno));
-}
-
-// Reads exactly `len` bytes at `offset`; false on short read or error.
-bool pread_exact(int fd, void* buf, std::size_t len, std::uint64_t offset) {
-  auto* dst = static_cast<std::uint8_t*>(buf);
-  while (len > 0) {
-    const ssize_t n = ::pread(fd, dst, len, static_cast<off_t>(offset));
-    if (n <= 0) return false;
-    dst += n;
-    offset += static_cast<std::uint64_t>(n);
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-bool write_all(int fd, std::span<const std::uint8_t> bytes) {
-  const std::uint8_t* src = bytes.data();
-  std::size_t len = bytes.size();
-  while (len > 0) {
-    const ssize_t n = ::write(fd, src, len);
-    if (n <= 0) return false;
-    src += n;
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
 
 // Best-effort directory fsync so creates/unlinks/renames are durable.
 void sync_parent_dir(const std::string& path) {

@@ -4,15 +4,17 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 
+#include "common/posix_io.hpp"
 #include "tsdb/checksum.hpp"
 #include "tsdb/wire.hpp"
 
 namespace envmon::tsdb {
+
+using common::io_error;
+using common::write_all;
 
 namespace {
 
@@ -20,22 +22,6 @@ constexpr std::uint32_t kWalMagic = 0x4C575645;  // "EVWL"
 constexpr std::uint32_t kWalFormatVersion = 1;
 constexpr std::uint64_t kWalHeaderBytes = 16;
 constexpr std::uint64_t kFrameHeaderBytes = 8;
-
-Status io_error(const char* what) {
-  return Status::internal(std::string(what) + ": " + std::strerror(errno));
-}
-
-bool write_all(int fd, std::span<const std::uint8_t> bytes) {
-  const std::uint8_t* src = bytes.data();
-  std::size_t len = bytes.size();
-  while (len > 0) {
-    const ssize_t n = ::write(fd, src, len);
-    if (n <= 0) return false;
-    src += n;
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
-}
 
 }  // namespace
 

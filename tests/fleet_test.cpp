@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/fnv1a.hpp"
 #include "fleet/api.hpp"
 #include "moneq/factory.hpp"
 #include "moneq/output.hpp"
@@ -144,14 +145,7 @@ TEST(Fleet, FaultStormIsDeterministicUnderEightThreads) {
 
 // FNV-1a over the whole output: cheap to compare across runs without
 // holding three copies of a multi-thousand-node fleet's files.
-std::uint64_t fnv1a(const std::string& data) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
-  for (const char c : data) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
-}
+std::uint64_t fnv1a(const std::string& data) { return common::Fnv1a().mix(data).value(); }
 
 TEST(Fleet, LargeFleetIsByteIdenticalAcrossThreadCounts) {
   // The 100k-scale oracle at test size: >= 4096 nodes under the PR-3

@@ -278,7 +278,7 @@ TEST(Block, SubchunkDecodeMatchesFullDecodeSlice) {
 TEST(Block, SubchunkSumsAreTheCanonicalFolds) {
   // 200 rows: twelve full 16-row subchunks (4-lane tree fold) plus one
   // 8-row tail (left-to-right fold) — the canonical grammar in
-  // simd.hpp, which every dispatch variant reproduces bit for bit.
+  // simd.hpp.
   const Block b = make_block(200, true);
   std::vector<double> full;
   b.decode_values(full);

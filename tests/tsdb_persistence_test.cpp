@@ -16,8 +16,10 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/fnv1a.hpp"
 #include "tsdb/database.hpp"
 #include "tsdb/wal.hpp"
 #include "tsdb/wire.hpp"
@@ -74,24 +76,12 @@ std::vector<Record> workload(std::size_t rows, std::int64_t start_ns = 0) {
 
 // FNV-1a over every field of every row — byte-identical result check.
 std::uint64_t digest(const std::vector<Record>& rows) {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
+  common::Fnv1a h;
   for (const Record& r : rows) {
-    mix(static_cast<std::uint64_t>(r.timestamp.ns()));
-    mix(static_cast<std::uint64_t>(r.location.rack) << 32 |
-        static_cast<std::uint32_t>(r.location.card));
-    for (const char c : r.metric) mix(static_cast<std::uint8_t>(c));
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(r.value));
-    std::memcpy(&bits, &r.value, sizeof(bits));
-    mix(bits);
+    h.mix_i64(r.timestamp.ns()).mix_i64(r.location.rack).mix_i64(r.location.card);
+    h.mix(r.metric).mix_f64(r.value);
   }
-  return h;
+  return h.value();
 }
 
 std::vector<Record> query_all(const EnvDatabase& db) { return db.query(QueryFilter{}); }
@@ -218,6 +208,54 @@ TEST(Persistence, WalRotationKeepsOneWalAndRecovers) {
   ASSERT_TRUE(db.open(dir.path).is_ok());
   EXPECT_EQ(db.size(), 5'000u);
   EXPECT_EQ(digest(query_all(db)), before);
+}
+
+// The number in the single wal-NNNNNN.log file in `dir`.
+unsigned wal_number(const std::string& dir) {
+  const auto wals = files_matching(dir, "wal-");
+  EXPECT_EQ(wals.size(), 1u);
+  unsigned n = 0;
+  if (!wals.empty()) {
+    std::sscanf(std::filesystem::path(wals[0]).filename().c_str(), "wal-%06u.log", &n);
+  }
+  return n;
+}
+
+// Regression: rotation counts only the frames appended after the WAL's
+// leading checkpoint.  Once the checkpoint alone outgrew the threshold,
+// measuring the whole file re-checkpointed the full state on every
+// later write.
+TEST(Persistence, CheckpointLargerThanRotateBytesDoesNotRotateEveryWrite) {
+  constexpr std::size_t kRotateBytes = 64u << 10;
+  constexpr int kFlushes = 100;
+  // Runs the same writes under `rotate_bytes`; returns the WAL-number
+  // advance and the frame bytes the small flushes appended.
+  const auto run = [](std::size_t rotate_bytes) {
+    TempDir dir;
+    auto options = durable_options();
+    options.durability.wal_rotate_bytes = rotate_bytes;
+    EnvDatabase db(options);
+    EXPECT_TRUE(db.open(dir.path).is_ok());
+    // ~4,000 unsealed head rows: a checkpoint of 24 B per row, well
+    // past 64 KiB, and no series reaches the 4,096-row seal.
+    EXPECT_TRUE(db.insert_batch(workload(4'000)).all_accepted());
+    EXPECT_TRUE(db.flush().is_ok());
+    const unsigned first = wal_number(dir.path);
+    const std::uint64_t bytes_before = db.durable_stats().wal_bytes;
+    for (int i = 0; i < kFlushes; ++i) {
+      EXPECT_TRUE(db.insert_batch(workload(2, (4'000LL + 2 * i) * 1'000'000)).all_accepted());
+      EXPECT_TRUE(db.flush().is_ok());
+    }
+    return std::pair<unsigned, std::uint64_t>{wal_number(dir.path) - first,
+                                              db.durable_stats().wal_bytes - bytes_before};
+  };
+  // Appended bytes measured where nothing rotates.
+  const auto [no_rotations, appended] = run(std::size_t{1} << 30);
+  ASSERT_EQ(no_rotations, 0u);
+  ASSERT_GT(appended, 0u);
+  const unsigned rotations = run(kRotateBytes).first;
+  EXPECT_LE(rotations, (appended + kRotateBytes - 1) / kRotateBytes + 1)
+      << "appended " << appended << " bytes";
 }
 
 TEST(Persistence, FsyncPoliciesAllRecover) {

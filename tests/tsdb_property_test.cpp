@@ -1,17 +1,18 @@
-// Property suite for the vectorized decode & fold engine (ctest label
+// Property suite for the decode & fold kernels (ctest label
 // `prop`; DESIGN.md §15).  Every invariant here is universally
 // quantified over generated inputs rather than pinned examples:
 //
 //  * codec roundtrip — delta-of-delta over arbitrary (wrapping) int64
-//    streams and XOR over arbitrary 64-bit patterns decode back exactly,
-//    through the reference decoders AND through every compiled dispatch
-//    variant;
-//  * decode totality — garbage bytes with garbage offsets decode to
-//    *identical* bits on every variant and never read out of bounds
-//    (ci/check.sh re-runs this suite under ASan/UBSan);
-//  * fold grammar — each variant's subchunk folds are bit-identical to
-//    an independent transcription of the canonical grammar in simd.hpp,
-//    for every lane count 0..16 including NaN/±inf/±0 mixes;
+//    streams, both sensor-shaped walks and fully arbitrary vectors, and
+//    XOR over arbitrary 64-bit patterns decode back exactly, through
+//    the reference decoders AND through the batch kernels (simd.hpp);
+//  * decode totality — garbage bytes with garbage offsets decode to the
+//    reference decoders' bits and never read out of bounds (ci/check.sh
+//    re-runs this suite under ASan/UBSan);
+//  * fold grammar — the subchunk folds are bit-identical to an
+//    independent transcription of the canonical grammar in simd.hpp,
+//    for every lane count 0..16 including NaN/±inf/±0 mixes and fully
+//    arbitrary bit patterns;
 //  * sealed blocks — compressed and raw seals of the same rows produce
 //    bit-identical summaries and subchunk sums, and range/cursor reads
 //    agree with full decodes;
@@ -30,6 +31,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <vector>
@@ -49,15 +51,6 @@ using sim::SimTime;
 
 constexpr std::size_t kRows = Block::kSubchunkRows;
 
-std::vector<simd::Variant> compiled_variants() {
-  std::vector<simd::Variant> out;
-  for (std::size_t i = 0; i < simd::kVariantCount; ++i) {
-    const auto v = static_cast<simd::Variant>(i);
-    if (simd::variant_available(v)) out.push_back(v);
-  }
-  return out;
-}
-
 std::uint64_t bits_of(double d) { return std::bit_cast<std::uint64_t>(d); }
 
 // EXPECT_EQ on doubles fails on NaN == NaN; the engine's contract is
@@ -70,12 +63,24 @@ void expect_bits_eq(double actual, double expected, const char* what) {
 // Codec roundtrip
 // ---------------------------------------------------------------------
 
-ENVMON_PROP(PropCodec, DeltaOfDeltaRoundtripsOnAllVariants, 120) {
+// One case in four takes a fully arbitrary input shape instead of the
+// sensor-shaped one: every int64 independent (nearly every delta-of-delta
+// takes the 64-bit raw escape and wraps), every double uniformly random
+// bits (XOR windows change on nearly every row, 64-bit meaningful widths
+// are common).  Default case counts are sized so the sensor-shaped cases
+// keep their former count.
+bool arbitrary_case(std::size_t prop_case) { return prop_case % 4 == 3; }
+
+ENVMON_PROP(PropCodec, DeltaOfDeltaRoundtrips, 160) {
   const std::size_t rows = 1 + rng.index(3 * kRows + 5);
   std::vector<std::int64_t> vals(rows);
   std::uint64_t cur = rng.u64();
   std::uint64_t delta = rng.range(0, 2'000'000'000) - 1'000'000'000ull;
   for (auto& v : vals) {
+    if (arbitrary_case(prop_case)) {
+      v = static_cast<std::int64_t>(rng.u64());
+      continue;
+    }
     switch (rng.index(4)) {
       case 0: break;                                      // perfect tick (0-bit row)
       case 1: delta += rng.range(0, 2000) - 1000ull; break;  // jitter buckets
@@ -97,22 +102,21 @@ ENVMON_PROP(PropCodec, DeltaOfDeltaRoundtripsOnAllVariants, 120) {
     ASSERT_EQ(dec.next(r), vals[i]) << "reference decoder, row " << i;
   }
 
-  std::vector<std::int64_t> out(rows);
-  for (const simd::Variant v : compiled_variants()) {
-    std::fill(out.begin(), out.end(), std::int64_t{-1});
-    simd::kernels(v).decode_dod(stream.data(), stream.size(), rows, out.data());
-    for (std::size_t i = 0; i < rows; ++i) {
-      ASSERT_EQ(out[i], vals[i]) << simd::variant_name(v) << ", row " << i;
-    }
+  std::vector<std::int64_t> out(rows, std::int64_t{-1});
+  simd::decode_dod(stream.data(), stream.size(), rows, out.data());
+  for (std::size_t i = 0; i < rows; ++i) {
+    ASSERT_EQ(out[i], vals[i]) << "decode_dod, row " << i;
   }
 }
 
-ENVMON_PROP(PropCodec, XorColumnRoundtripsAnyBitPatternsOnAllVariants, 120) {
+ENVMON_PROP(PropCodec, XorColumnRoundtripsAnyBitPatterns, 160) {
   const std::size_t rows = 1 + rng.index(5 * kRows + 7);
   std::vector<double> vals(rows);
   double walk = 21.5;
   for (auto& v : vals) {
-    if (rng.chance(40)) {
+    if (arbitrary_case(prop_case)) {
+      v = std::bit_cast<double>(rng.u64());
+    } else if (rng.chance(40)) {
       v = rng.any_double();  // arbitrary bits incl. NaN payloads, ±inf, -0.0
     } else {
       walk = rng.smooth_step(walk);
@@ -144,33 +148,29 @@ ENVMON_PROP(PropCodec, XorColumnRoundtripsAnyBitPatternsOnAllVariants, 120) {
     }
   }
 
-  std::vector<double> out(rows);
-  for (const simd::Variant v : compiled_variants()) {
-    const simd::Kernels& k = simd::kernels(v);
-    std::fill(out.begin(), out.end(), -7.25);
-    k.decode_xor_column(stream.data(), stream.size(), offsets.data(), offsets.size(), rows,
-                        out.data());
-    for (std::size_t i = 0; i < rows; ++i) {
-      ASSERT_EQ(bits_of(out[i]), bits_of(vals[i])) << simd::variant_name(v) << ", row " << i;
-    }
-    // Single-subchunk decode from a random restart offset.
-    const std::size_t c = rng.index(offsets.size());
-    const std::size_t begin = c * kRows;
-    const std::size_t n = std::min(begin + kRows, rows) - begin;
-    double chunk[kRows];
-    k.decode_xor_subchunk(stream.data(), stream.size(), offsets[c], n, chunk);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(bits_of(chunk[i]), bits_of(vals[begin + i]))
-          << simd::variant_name(v) << ", subchunk " << c << ", lane " << i;
-    }
+  std::vector<double> out(rows, -7.25);
+  simd::decode_xor_column(stream.data(), stream.size(), offsets.data(), offsets.size(), rows,
+                          out.data());
+  for (std::size_t i = 0; i < rows; ++i) {
+    ASSERT_EQ(bits_of(out[i]), bits_of(vals[i])) << "decode_xor_column, row " << i;
+  }
+  // Single-subchunk decode from a random restart offset.
+  const std::size_t c = rng.index(offsets.size());
+  const std::size_t begin = c * kRows;
+  const std::size_t n = std::min(begin + kRows, rows) - begin;
+  double chunk[kRows];
+  simd::decode_xor_subchunk(stream.data(), stream.size(), offsets[c], n, chunk);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(bits_of(chunk[i]), bits_of(vals[begin + i]))
+        << "decode_xor_subchunk " << c << ", lane " << i;
   }
 }
 
 // ---------------------------------------------------------------------
-// Decode totality: garbage in, identical garbage out, no OOB
+// Decode totality: garbage in, the reference's garbage out, no OOB
 // ---------------------------------------------------------------------
 
-ENVMON_PROP(PropCodec, GarbageDecodesIdenticallyOnAllVariants, 150) {
+ENVMON_PROP(PropCodec, GarbageDecodesLikeTheReference, 150) {
   std::vector<std::uint8_t> stream(rng.index(160));
   for (auto& b : stream) b = static_cast<std::uint8_t>(rng.u64());
   const std::size_t rows = 1 + rng.index(4 * kRows);
@@ -192,27 +192,21 @@ ENVMON_PROP(PropCodec, GarbageDecodesIdenticallyOnAllVariants, 150) {
     for (std::size_t i = c * kRows; i < end; ++i) ref[i] = dec.next(r);
   }
 
-  std::vector<double> out(rows);
-  for (const simd::Variant v : compiled_variants()) {
-    std::fill(out.begin(), out.end(), 0.0);
-    simd::kernels(v).decode_xor_column(stream.data(), stream.size(), offsets.data(), chunks,
-                                       rows, out.data());
-    for (std::size_t i = 0; i < rows; ++i) {
-      ASSERT_EQ(bits_of(out[i]), bits_of(ref[i])) << simd::variant_name(v) << ", row " << i;
-    }
+  std::vector<double> out(rows, 0.0);
+  simd::decode_xor_column(stream.data(), stream.size(), offsets.data(), chunks, rows,
+                          out.data());
+  for (std::size_t i = 0; i < rows; ++i) {
+    ASSERT_EQ(bits_of(out[i]), bits_of(ref[i])) << "decode_xor_column, row " << i;
   }
 
   BitReader dr(stream);
   DeltaOfDeltaDecoder ddec;
   std::vector<std::int64_t> dref(rows);
   for (auto& v : dref) v = ddec.next(dr);
-  std::vector<std::int64_t> dout(rows);
-  for (const simd::Variant v : compiled_variants()) {
-    std::fill(dout.begin(), dout.end(), std::int64_t{0});
-    simd::kernels(v).decode_dod(stream.data(), stream.size(), rows, dout.data());
-    for (std::size_t i = 0; i < rows; ++i) {
-      ASSERT_EQ(dout[i], dref[i]) << simd::variant_name(v) << ", row " << i;
-    }
+  std::vector<std::int64_t> dout(rows, std::int64_t{0});
+  simd::decode_dod(stream.data(), stream.size(), rows, dout.data());
+  for (std::size_t i = 0; i < rows; ++i) {
+    ASSERT_EQ(dout[i], dref[i]) << "decode_dod, row " << i;
   }
 }
 
@@ -264,28 +258,43 @@ simd::SubchunkFold grammar_fold(const double* v, std::size_t n) {
   return out;
 }
 
-ENVMON_PROP(PropSimd, FoldsMatchGrammarBitwiseOnEveryLaneCount, 250) {
+ENVMON_PROP(PropSimd, FoldsMatchGrammarBitwiseOnEveryLaneCount, 330) {
+  // Arbitrary cases draw every lane from one of three shapes: random
+  // bits (huge magnitudes overflow to ±inf mid-lane, inf - inf makes
+  // NaN, NaN payloads of both signs reach the combine step); the first
+  // six entries below, which hold nothing under zero, so the min is a
+  // zero of either sign whenever one is present; or all eight.
+  static constexpr std::uint64_t kSmall[] = {
+      0x0000'0000'0000'0000ull, 0x8000'0000'0000'0000ull, 0x3ff0'0000'0000'0000ull,
+      0x7ff0'0000'0000'0000ull, 0x7ff8'0000'0000'0000ull, 0x7ff4'0000'0000'0002ull,
+      0xfff0'0000'0000'0000ull, 0xfff8'0000'0000'0001ull};
+  const std::size_t shape = arbitrary_case(prop_case) ? 1 + rng.index(3) : 0;
   double v[kRows];
-  const std::size_t n = rng.index(kRows + 1);  // 0..16: tails and full chunks
+  // Full 16-row subchunks (the 4-lane tree) half the time, else 0..16.
+  const std::size_t n = rng.chance(50) ? kRows : rng.index(kRows + 1);
   for (std::size_t i = 0; i < n; ++i) {
-    v[i] = rng.chance(50) ? rng.any_double()
-                          : static_cast<double>(rng.range(0, 4000)) * 0.125 - 250.0;
+    switch (shape) {
+      case 0:
+        // Inexact decimals, so a different add order rounds differently.
+        v[i] = rng.chance(50) ? rng.any_double()
+                              : static_cast<double>(rng.range(0, 50'000)) * 0.01 - 250.0;
+        break;
+      case 1: v[i] = std::bit_cast<double>(rng.u64()); break;
+      default:
+        v[i] = std::bit_cast<double>(kSmall[rng.index(shape == 2 ? 6 : std::size(kSmall))]);
+    }
   }
   const simd::SubchunkFold want = grammar_fold(v, n);
-  for (const simd::Variant var : compiled_variants()) {
-    const simd::Kernels& k = simd::kernels(var);
-    simd::SubchunkFold got;
-    k.fold_subchunk(v, n, got);
-    const char* name = simd::variant_name(var);
-    expect_bits_eq(got.sum, want.sum, name);
-    expect_bits_eq(got.sum_sq, want.sum_sq, name);
-    EXPECT_EQ(got.finite, want.finite) << name;
-    if (want.finite > 0) {
-      expect_bits_eq(got.min, want.min, name);
-      expect_bits_eq(got.max, want.max, name);
-    }
-    expect_bits_eq(k.sum_subchunk(v, n), want.sum, name);
+  simd::SubchunkFold got;
+  simd::fold_subchunk(v, n, got);
+  expect_bits_eq(got.sum, want.sum, "sum");
+  expect_bits_eq(got.sum_sq, want.sum_sq, "sum_sq");
+  EXPECT_EQ(got.finite, want.finite);
+  if (want.finite > 0) {
+    expect_bits_eq(got.min, want.min, "min");
+    expect_bits_eq(got.max, want.max, "max");
   }
+  expect_bits_eq(simd::sum_subchunk(v, n), want.sum, "sum_subchunk");
 }
 
 // ---------------------------------------------------------------------
@@ -322,25 +331,22 @@ ENVMON_PROP(PropBlock, CompressedAndRawSealsAgreeBitwise, 60) {
   ASSERT_EQ(compressed.subchunk_count(), raw.subchunk_count());
 
   // Summaries and subchunk sums are exactly the canonical grammar over
-  // the input rows — recomputed here per variant via FoldCombine.
-  for (const simd::Variant var : compiled_variants()) {
-    const simd::Kernels& k = simd::kernels(var);
-    simd::FoldCombine combine;
-    for (std::size_t c = 0; c < compressed.subchunk_count(); ++c) {
-      const std::size_t n = compressed.subchunk_rows(c);
-      simd::SubchunkFold fold;
-      k.fold_subchunk(values.data() + c * kRows, n, fold);
-      expect_bits_eq(compressed.subchunk_sum(c), fold.sum, simd::variant_name(var));
-      combine.add(fold);
-    }
-    const simd::SubchunkFold total = combine.finish();
-    expect_bits_eq(cs.value_sum, total.sum, simd::variant_name(var));
-    expect_bits_eq(cs.value_sum_sq, total.sum_sq, simd::variant_name(var));
-    EXPECT_EQ(cs.finite_rows, total.finite) << simd::variant_name(var);
-    if (total.finite > 0) {
-      expect_bits_eq(cs.value_min, total.min, simd::variant_name(var));
-      expect_bits_eq(cs.value_max, total.max, simd::variant_name(var));
-    }
+  // the input rows: the grammar transcription per subchunk, combined
+  // left-to-right by FoldCombine.
+  simd::FoldCombine combine;
+  for (std::size_t c = 0; c < compressed.subchunk_count(); ++c) {
+    const simd::SubchunkFold fold =
+        grammar_fold(values.data() + c * kRows, compressed.subchunk_rows(c));
+    expect_bits_eq(compressed.subchunk_sum(c), fold.sum, "subchunk sum");
+    combine.add(fold);
+  }
+  const simd::SubchunkFold total = combine.finish();
+  expect_bits_eq(cs.value_sum, total.sum, "combined sum");
+  expect_bits_eq(cs.value_sum_sq, total.sum_sq, "combined sum_sq");
+  EXPECT_EQ(cs.finite_rows, total.finite);
+  if (total.finite > 0) {
+    expect_bits_eq(cs.value_min, total.min, "combined min");
+    expect_bits_eq(cs.value_max, total.max, "combined max");
   }
 
   for (const Block* b : {&compressed, &raw}) {
